@@ -77,7 +77,7 @@ int main() {
     const auto lck_result = run_deadline_experiment(per_job, lck_only);
 
     auto fixed = base_experiment(deadline);
-    fixed.use_pid_control = false;
+    fixed.policy = ControlPolicy::kStatic;
     const auto fixed_result = run_deadline_experiment(per_job, fixed);
 
     auto rto = base_experiment(deadline);

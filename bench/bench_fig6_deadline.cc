@@ -74,7 +74,7 @@ int main() {
       experiment.deadline_s = deadline;
       experiment.interval_arrival_s = arrival_period;
       experiment.initial_workers = 4;
-      experiment.use_pid_control = true;
+      experiment.policy = ControlPolicy::kPid;
       // Simulated per-unit cost matches the average measured baseline
       // cost so SSTD and the baselines face comparable work.
       experiment.sim.theta1 = 2e-3;

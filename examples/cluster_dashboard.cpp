@@ -109,9 +109,9 @@ int main() {
     experiment.sim.theta1 = 2e-3;
     experiment.sim.comm_per_unit_s = 2e-4;
 
-    experiment.use_pid_control = true;
+    experiment.policy = ControlPolicy::kPid;
     const auto pid = run_deadline_experiment(per_job, experiment);
-    experiment.use_pid_control = false;
+    experiment.policy = ControlPolicy::kStatic;
     const auto fixed = run_deadline_experiment(per_job, experiment);
     const auto central = centralized_deadline_baseline(
         volumes, deadline, experiment.interval_arrival_s, 2.8e-3);

@@ -13,22 +13,11 @@ RecoveryManager::Result RecoveryManager::recover(const std::string& dir,
   Stopwatch timer;
   Result result;
 
-  // 1. Newest valid snapshot, if the engine accepts it. Read-only scan:
-  // SnapshotManager::open would create the directory, and recovery of a
-  // blank node must not.
+  // 1. Newest valid snapshot, if the engine accepts it. The picker is
+  // read-only: recovery of a blank node must not create the directory.
   SnapshotMeta meta;
   std::vector<std::string> blobs;
-  bool have_snapshot = false;
-  for (const auto& path : snapshot_files(dir)) {
-    if (read_snapshot_file(path, &meta, &blobs)) {
-      have_snapshot = true;
-      break;
-    }
-    obs::MetricsRegistry::global()
-        .counter("durable.snapshot_load_failures")
-        ->inc();
-  }
-  if (have_snapshot && callbacks.load_snapshot &&
+  if (load_newest_snapshot(dir, &meta, &blobs) && callbacks.load_snapshot &&
       callbacks.load_snapshot(meta.interval, blobs)) {
     result.snapshot_loaded = true;
     result.snapshot_interval = meta.interval;

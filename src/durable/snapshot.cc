@@ -137,15 +137,6 @@ SnapshotMeta SnapshotManager::write(
   return meta;
 }
 
-bool SnapshotManager::load_latest(SnapshotMeta* meta,
-                                  std::vector<std::string>* shard_blobs) const {
-  for (const auto& path : snapshot_files(dir_)) {
-    if (read_snapshot_file(path, meta, shard_blobs)) return true;
-    SnapshotMetrics::get().load_failures->inc();
-  }
-  return false;
-}
-
 void SnapshotManager::prune() const {
   const std::vector<std::string> files = snapshot_files(dir_);
   std::error_code ec;
@@ -203,6 +194,15 @@ bool read_snapshot_file(const std::string& path, SnapshotMeta* meta,
   meta->path = path;
   *shard_blobs = std::move(blobs);
   return true;
+}
+
+bool load_newest_snapshot(const std::string& dir, SnapshotMeta* meta,
+                          std::vector<std::string>* shard_blobs) {
+  for (const auto& path : snapshot_files(dir)) {
+    if (read_snapshot_file(path, meta, shard_blobs)) return true;
+    SnapshotMetrics::get().load_failures->inc();
+  }
+  return false;
 }
 
 }  // namespace sstd::durable

@@ -9,8 +9,8 @@
 // Atomicity: the file is written to a ".tmp" sibling, fsynced, then
 // renamed into place, so a crash mid-snapshot leaves the previous snapshot
 // untouched. A whole-file trailing CRC-32 rejects partially-written or
-// bit-rotted files at load time; load_latest falls back to the next-newest
-// snapshot when the newest fails validation.
+// bit-rotted files at load time; load_newest_snapshot falls back to the
+// next-newest snapshot when the newest fails validation.
 //
 // File format (little-endian): magic "SSTDSNAP", u32 version, i32
 // interval, u64 lsn, u32 shard count, per shard a length-prefixed blob,
@@ -48,11 +48,6 @@ class SnapshotManager {
   SnapshotMeta write(IntervalIndex interval, std::uint64_t lsn,
                      const std::vector<std::string>& shard_blobs);
 
-  // Loads the newest snapshot that passes CRC validation, falling back to
-  // older ones. Returns false when no usable snapshot exists.
-  bool load_latest(SnapshotMeta* meta,
-                   std::vector<std::string>* shard_blobs) const;
-
   const std::string& dir() const { return dir_; }
 
  private:
@@ -69,5 +64,12 @@ std::vector<std::string> snapshot_files(const std::string& dir);
 // outputs untouched) on bad magic/version/CRC or malformed structure.
 bool read_snapshot_file(const std::string& path, SnapshotMeta* meta,
                         std::vector<std::string>* shard_blobs);
+
+// The one snapshot picker: loads the newest snapshot under `dir` that
+// passes validation, falling back to older ones (each rejected file counts
+// in durable.snapshot_load_failures). Read-only — a missing directory has
+// no snapshot. Returns false when no usable snapshot exists.
+bool load_newest_snapshot(const std::string& dir, SnapshotMeta* meta,
+                          std::vector<std::string>* shard_blobs);
 
 }  // namespace sstd::durable

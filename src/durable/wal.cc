@@ -63,6 +63,36 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
+// The one per-segment frame walk behind both wal_scan and the writer's
+// reopen. Hands every valid record (and its frame size) to `fn` in log
+// order and stops at the first frame that does not decode.
+struct SegmentWalk {
+  bool magic_ok = false;
+  std::size_t valid_end = 0;   // offset just past the last valid record
+  WalDecodeStatus stop = WalDecodeStatus::kTruncated;  // why it stopped
+  std::uint64_t last_lsn = 0;  // 0 when the segment holds no record
+};
+
+template <typename Fn>
+SegmentWalk walk_segment(std::string_view data, Fn&& fn) {
+  SegmentWalk walk;
+  const std::size_t magic = kWalSegmentMagic.size();
+  if (data.size() < magic || data.substr(0, magic) != kWalSegmentMagic) {
+    return walk;
+  }
+  walk.magic_ok = true;
+  walk.valid_end = magic;
+  WalRecord record;
+  std::size_t consumed = 0;
+  while ((walk.stop = decode_wal_record(data, walk.valid_end, &record,
+                                        &consumed)) == WalDecodeStatus::kOk) {
+    walk.valid_end += consumed;
+    walk.last_lsn = record.lsn;
+    fn(record, consumed);
+  }
+  return walk;
+}
+
 struct WalMetrics {
   obs::Counter* records;
   obs::Counter* bytes;
@@ -195,26 +225,26 @@ void WalWriter::open(const std::string& dir, const WalOptions& options) {
                              ec.message());
   }
 
-  // Resume from the existing log: the LSN sequence continues past the
-  // highest valid record, and the last segment is reopened for append
-  // (with its torn tail, if any, cut off first).
-  std::uint64_t last_segment = 0;
-  for (const auto& path : wal_segments(dir_)) {
-    last_segment =
-        std::max(last_segment,
-                 segment_index_of(fs::path(path).filename().string()));
+  // Resume rule: appends continue in the newest segment after its last
+  // valid record, and the LSN sequence resumes past the last valid record
+  // of the newest segment that holds one — the previous segment when a
+  // crash right after rotation left the newest holding only its magic.
+  // Only those segments are read, and damage in an older segment cannot
+  // pull the sequence back below LSNs already on disk.
+  const std::vector<std::string> segments = wal_segments(dir_);
+  std::uint64_t last_lsn = open_segment(
+      segments.empty()
+          ? 1
+          : segment_index_of(fs::path(segments.back()).filename().string()));
+  for (std::size_t i = segments.size(); last_lsn == 0 && i > 1; --i) {
+    last_lsn = walk_segment(read_file(segments[i - 2]),
+                            [](const WalRecord&, std::size_t) {})
+                   .last_lsn;
   }
-  const WalScanStats stats = wal_scan(dir_, 0, [](const WalRecord&) {});
-  next_lsn_ = stats.max_lsn + 1;
-
-  if (last_segment == 0) {
-    open_segment(1, false);
-  } else {
-    open_segment(last_segment, true);
-  }
+  next_lsn_ = last_lsn + 1;
 }
 
-void WalWriter::open_segment(std::uint64_t index, bool truncate_torn_tail) {
+std::uint64_t WalWriter::open_segment(std::uint64_t index) {
   if (fd_ >= 0) {
     fsync_now();
     ::close(fd_);
@@ -229,7 +259,7 @@ void WalWriter::open_segment(std::uint64_t index, bool truncate_torn_tail) {
                              std::strerror(errno));
   }
 
-  std::uint64_t offset = 0;
+  SegmentWalk walk;
   if (fresh) {
     WalMetrics::get().segments->inc();
     if (::write(fd, kWalSegmentMagic.data(), kWalSegmentMagic.size()) !=
@@ -239,43 +269,35 @@ void WalWriter::open_segment(std::uint64_t index, bool truncate_torn_tail) {
       throw std::runtime_error("wal: cannot write magic to " + path + ": " +
                                std::strerror(err));
     }
-    offset = kWalSegmentMagic.size();
+    walk.valid_end = kWalSegmentMagic.size();
   } else {
     // Walk the record frames to find the valid prefix; anything after it
     // is a torn tail from a crash mid-append.
     const std::string data = read_file(path);
-    std::size_t pos = kWalSegmentMagic.size();
-    if (data.size() < pos ||
-        std::string_view(data).substr(0, pos) != kWalSegmentMagic) {
+    walk = walk_segment(data, [](const WalRecord&, std::size_t) {});
+    if (!walk.magic_ok) {
       ::close(fd);
       throw std::runtime_error("wal: bad segment magic in " + path);
     }
-    WalRecord record;
-    std::size_t consumed = 0;
-    while (decode_wal_record(data, pos, &record, &consumed) ==
-           WalDecodeStatus::kOk) {
-      pos += consumed;
+    if (walk.valid_end < data.size() &&
+        ::ftruncate(fd, static_cast<off_t>(walk.valid_end)) != 0) {
+      const int err = errno;
+      ::close(fd);
+      throw std::runtime_error("wal: cannot truncate torn tail of " + path +
+                               ": " + std::strerror(err));
     }
-    if (truncate_torn_tail && pos < data.size()) {
-      if (::ftruncate(fd, static_cast<off_t>(pos)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error("wal: cannot truncate torn tail of " +
-                                 path + ": " + std::strerror(err));
-      }
-    }
-    offset = pos;
   }
 
   fd_ = fd;
   segment_index_ = index;
-  segment_offset_ = offset;
+  segment_offset_ = walk.valid_end;
+  return walk.last_lsn;
 }
 
 std::uint64_t WalWriter::append(WalRecordType type, std::string_view payload) {
   if (fd_ < 0) throw std::logic_error("wal: append on closed writer");
   if (segment_offset_ >= options_.segment_bytes) {
-    open_segment(segment_index_ + 1, false);
+    open_segment(segment_index_ + 1);
   }
 
   const std::uint64_t lsn = next_lsn_++;
@@ -345,47 +367,26 @@ WalScanStats wal_scan(const std::string& dir, std::uint64_t after_lsn,
   for (std::size_t s = 0; s < segments.size(); ++s) {
     ++stats.segments;
     const std::string data = read_file(segments[s]);
-    std::size_t pos = kWalSegmentMagic.size();
-    if (data.size() < pos ||
-        std::string_view(data).substr(0, pos) != kWalSegmentMagic) {
-      return stats;  // unreadable segment: stop, earlier records delivered
+    const SegmentWalk walk =
+        walk_segment(data, [&](const WalRecord& record, std::size_t bytes) {
+          stats.bytes += bytes;
+          ++stats.records;
+          stats.max_lsn = std::max(stats.max_lsn, record.lsn);
+          if (record.lsn > after_lsn) fn(record);
+        });
+    // Unreadable segment: stop, earlier records were delivered.
+    if (!walk.magic_ok) return stats;
+    if (walk.valid_end == data.size()) continue;  // clean segment end
+    // A torn tail of the final segment (crash mid-append) is counted and
+    // skipped; a corrupt record, or a truncated one in a non-final segment
+    // (mid-log damage, not a crash tail), stops the scan. Either way every
+    // record before it was delivered.
+    if (walk.stop == WalDecodeStatus::kTruncated && s + 1 == segments.size()) {
+      stats.torn_bytes = data.size() - walk.valid_end;
     }
-
-    WalRecord record;
-    std::size_t consumed = 0;
-    for (;;) {
-      const WalDecodeStatus st =
-          decode_wal_record(data, pos, &record, &consumed);
-      if (st == WalDecodeStatus::kOk) {
-        pos += consumed;
-        stats.bytes += consumed;
-        ++stats.records;
-        stats.max_lsn = std::max(stats.max_lsn, record.lsn);
-        if (record.lsn > after_lsn) fn(record);
-        continue;
-      }
-      if (st == WalDecodeStatus::kTruncated) {
-        if (pos == data.size()) break;  // clean segment end
-        if (s + 1 == segments.size()) {
-          // Torn tail of the final segment: crash hit mid-append; skip.
-          stats.torn_bytes = data.size() - pos;
-          return stats;
-        }
-        // A truncated record in a non-final segment is mid-log damage,
-        // not a crash tail: stop, earlier records were delivered.
-        return stats;
-      }
-      return stats;  // corrupt record: stop here
-    }
+    return stats;
   }
   return stats;
-}
-
-void wal_purge(const std::string& dir) {
-  std::error_code ec;
-  for (const auto& path : wal_segments(dir)) {
-    fs::remove(path, ec);
-  }
 }
 
 }  // namespace sstd::durable

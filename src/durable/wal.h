@@ -103,7 +103,9 @@ class WalWriter {
 
   // Opens `dir` (creating it if needed), truncates a torn tail left by a
   // previous crash, and positions for append with the LSN sequence
-  // resumed. Throws std::runtime_error on I/O failure.
+  // resumed past the last valid record of the newest segment that holds
+  // one (older segments are not read). Throws std::runtime_error on I/O
+  // failure.
   void open(const std::string& dir, const WalOptions& options = {});
   bool is_open() const { return fd_ >= 0; }
   void close();
@@ -121,7 +123,10 @@ class WalWriter {
   std::uint64_t segment_index() const { return segment_index_; }
 
  private:
-  void open_segment(std::uint64_t index, bool truncate_torn_tail);
+  // Makes segment `index` the append target: a new segment gets its
+  // magic, an existing one is cut back to its valid prefix. Returns the
+  // LSN of its last valid record (0 when it holds none).
+  std::uint64_t open_segment(std::uint64_t index);
   void fsync_now();
 
   std::string dir_;
@@ -154,8 +159,5 @@ WalScanStats wal_scan(const std::string& dir, std::uint64_t after_lsn,
 // Segment files under `dir`, sorted by segment index (== lexicographic for
 // the zero-padded names). Empty for a missing directory.
 std::vector<std::string> wal_segments(const std::string& dir);
-
-// Deletes every segment file (after a snapshot has superseded the log).
-void wal_purge(const std::string& dir);
 
 }  // namespace sstd::durable

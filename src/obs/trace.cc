@@ -113,4 +113,27 @@ TraceRecorder& TraceRecorder::global() {
   return *recorder;
 }
 
+void record_causal_span(
+    const TraceContext& ctx, SpanEdge edge, SpanPhase phase,
+    std::uint32_t job, double begin_s, double end_s,
+    std::vector<std::pair<std::string, std::string>> attrs) {
+  if (!ctx.sampled || !ctx.valid()) return;
+  TraceSpan span;
+  span.phase = phase;
+  span.outcome = SpanOutcome::kDone;
+  span.job = job;
+  span.begin_s = begin_s;
+  span.end_s = end_s;
+  span.trace_hi = ctx.trace_hi;
+  span.trace_lo = ctx.trace_lo;
+  if (edge == SpanEdge::kRoot) {
+    span.span_id = ctx.span_id;
+  } else {
+    span.span_id = mint_span_id();
+    span.parent_span = ctx.span_id;
+  }
+  span.attrs = std::move(attrs);
+  TraceRecorder::global().record(std::move(span));
+}
+
 }  // namespace sstd::obs

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace_context.h"
 
 namespace sstd::obs {
 
@@ -124,5 +125,21 @@ class TraceRecorder {
   std::uint64_t total_ = 0;
   std::uint64_t dropped_ = 0;
 };
+
+// How a causal span hangs off the context it is recorded for.
+enum class SpanEdge : std::uint8_t {
+  kRoot,   // the span *is* the context: its id is ctx.span_id, no parent
+  kChild,  // a freshly minted span id whose parent is ctx.span_id
+};
+
+// Records one causal span (ingest, refit, decision, recovery; outcome
+// kDone) of `ctx`'s trace into the global recorder. No-op unless `ctx` is
+// a valid, sampled context. Attempt spans are built by WorkQueue and
+// SimCluster instead: they carry task, worker and attempt fields that no
+// causal span has.
+void record_causal_span(
+    const TraceContext& ctx, SpanEdge edge, SpanPhase phase,
+    std::uint32_t job, double begin_s, double end_s,
+    std::vector<std::pair<std::string, std::string>> attrs);
 
 }  // namespace sstd::obs

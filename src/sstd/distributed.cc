@@ -170,7 +170,7 @@ DeadlineExperimentResult run_deadline_experiment(
   dtm_config.wcet.theta1 = config.sim.theta1;
   dtm_config.wcet.theta2 = config.sim.theta1 + config.sim.comm_per_unit_s;
   control::DynamicTaskManager dtm(dtm_config);
-  const ControlPolicy policy = config.effective_policy();
+  const ControlPolicy policy = config.policy;
   control::RtoAllocator::Options rto_options;
   rto_options.min_workers = dtm_config.min_workers;
   rto_options.max_workers = dtm_config.max_workers;

@@ -110,8 +110,6 @@ struct DeadlineExperimentConfig {
   double interval_arrival_s = 5.0;
   std::size_t initial_workers = 4;
   ControlPolicy policy = ControlPolicy::kPid;
-  // Back-compat alias: when false, overrides `policy` to kStatic.
-  bool use_pid_control = true;
   dist::SimConfig sim;
   control::DtmConfig dtm;
 
@@ -119,10 +117,6 @@ struct DeadlineExperimentConfig {
   // Under kPid the DTM also receives the cluster's eviction/failure
   // counters each sample and compensates via the GCK (DtmConfig::theta5).
   dist::FaultPlan fault;
-
-  ControlPolicy effective_policy() const {
-    return use_pid_control ? policy : ControlPolicy::kStatic;
-  }
 };
 
 struct DeadlineExperimentResult {

@@ -22,21 +22,11 @@ constexpr double kDefaultScale = 3.0;
 void record_engine_span(const obs::TraceContext& ctx, obs::SpanPhase phase,
                         double begin_s, double end_s, std::uint32_t claim,
                         IntervalIndex k, std::uint32_t shard) {
-  obs::TraceSpan span;
-  span.phase = phase;
-  span.outcome = obs::SpanOutcome::kDone;
-  span.job = shard;
-  span.begin_s = begin_s;
-  span.end_s = end_s;
-  span.trace_hi = ctx.trace_hi;
-  span.trace_lo = ctx.trace_lo;
-  span.span_id = obs::mint_span_id();
-  span.parent_span = ctx.span_id;
-  span.attrs.reserve(3);
-  span.attrs.emplace_back("claim", std::to_string(claim));
-  span.attrs.emplace_back("interval", std::to_string(k));
-  span.attrs.emplace_back("engine", "SSTD");
-  obs::TraceRecorder::global().record(std::move(span));
+  obs::record_causal_span(ctx, obs::SpanEdge::kChild, phase, shard, begin_s,
+                          end_s,
+                          {{"claim", std::to_string(claim)},
+                           {"interval", std::to_string(k)},
+                           {"engine", "SSTD"}});
 }
 }  // namespace
 
@@ -50,7 +40,6 @@ SstdStreaming::SstdStreaming(SstdConfig config, TimestampMs interval_ms)
   ins_.intervals_closed = registry.counter("stream.intervals_closed");
   ins_.refits = registry.counter("stream.refits");
   ins_.claims_evicted = registry.counter("stream.claims_evicted");
-  ins_.active_claims = registry.gauge("stream.active_claims");
   ins_.refit_s = registry.histogram("stream.refit_s");
   ins_.decision_staleness_s =
       registry.histogram("stream.decision_staleness_s");
@@ -248,7 +237,6 @@ void SstdStreaming::end_interval(IntervalIndex k) {
     }
   }
   ins_.intervals_closed->inc();
-  ins_.active_claims->set(static_cast<double>(pipelines_.size()));
 }
 
 std::int8_t SstdStreaming::current_estimate(ClaimId claim) const {
@@ -352,7 +340,6 @@ bool SstdStreaming::load_state(std::string_view blob) {
   refits_ = refits;
   evictions_ = evictions;
   pipelines_ = std::move(pipelines);
-  ins_.active_claims->set(static_cast<double>(pipelines_.size()));
   return true;
 }
 

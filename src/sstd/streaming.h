@@ -51,6 +51,8 @@ class SstdStreaming final : public StreamingTruthDiscovery {
   // decoded intervals.
   std::int8_t lagged_estimate(ClaimId claim, IntervalIndex lag) const;
 
+  // Claims this engine holds. SstdSystem publishes the node-wide sum as
+  // the stream.active_claims gauge.
   std::size_t active_claims() const { return pipelines_.size(); }
 
   // Total Baum-Welch refits performed (for tests/instrumentation).
@@ -121,7 +123,6 @@ class SstdStreaming final : public StreamingTruthDiscovery {
     obs::Counter* intervals_closed = nullptr;
     obs::Counter* refits = nullptr;
     obs::Counter* claims_evicted = nullptr;
-    obs::Gauge* active_claims = nullptr;
     obs::Histogram* refit_s = nullptr;
     obs::Histogram* decision_staleness_s = nullptr;
     // Pre-resolved phase cost centers (obs/cost.h, ISSUE 10). cost_refit

@@ -11,8 +11,19 @@
 namespace sstd {
 
 namespace {
-bool report_time_less(const Report& a, const Report& b) {
-  return a.time_ms < b.time_ms;
+// The one shard-interval step, shared by the live shard task, the
+// crash-kill rebuild and node restart: offer the buffered reports in time
+// order, clear the buffer and close interval `k`. Replay reaches the same
+// engine state as the live run because it goes through this same code.
+void close_shard_interval(SstdStreaming& engine, std::vector<Report>& buffer,
+                          IntervalIndex k) {
+  std::sort(buffer.begin(), buffer.end(),
+            [](const Report& a, const Report& b) {
+              return a.time_ms < b.time_ms;
+            });
+  for (const Report& report : buffer) engine.offer(report);
+  buffer.clear();
+  engine.end_interval(k);
 }
 }  // namespace
 
@@ -60,77 +71,6 @@ SstdSystem::SstdSystem(Config config, TimestampMs interval_ms)
 
 SstdSystem::~SstdSystem() { queue_.shutdown(); }
 
-void SstdSystem::ingest(const Report& report) {
-  // Write-ahead: the report reaches the log before any in-memory state,
-  // so an acknowledged report survives a crash.
-  if (wal_.is_open()) {
-    static obs::CostCenter* const cost_wal_append =
-        obs::CostRegistry::global().center("wal/append");
-    const obs::CostScope wal_scope(cost_wal_append, obs::CostScope::kWallOnly);
-    std::lock_guard<std::mutex> wal_lock(wal_mutex_);
-    wal_.append(durable::WalRecordType::kReport,
-                durable::encode_report_payload(report));
-  }
-  const std::size_t shard_index = report.claim.value % config_.num_jobs;
-  Shard& shard = *shards_[shard_index];
-
-  // Trace sampling (ISSUE 8): every ⌈1/rate⌉-th report is a trace
-  // candidate; a candidate whose shard has no pending trace mints one
-  // and becomes the next shard task's trace parent, so the task's
-  // attempt spans (retries included) and the refit/decision spans below
-  // them all share one trace id. Minting is gated on the promotion —
-  // one ingest span per shard-interval, not per report — which keeps
-  // full-rate tracing out of the ingest hot path (bench_trace measures
-  // the difference) and keeps the span ring from thrashing on roots no
-  // chain would ever hang off.
-  obs::TraceContext minted;
-  bool promoted = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.buffer.push_back(report);
-    // The stride counter only advances while the shard's batch is
-    // unrepresented, so a represented batch adds zero tracing work per
-    // report — not even the atomic.
-    if (config_.trace_sample_rate > 0.0 && !shard.pending_trace.valid()) {
-      const auto stride = static_cast<std::uint64_t>(
-          std::max(1.0, std::ceil(1.0 / config_.trace_sample_rate)));
-      if (trace_sample_seq_.fetch_add(1, std::memory_order_relaxed) %
-              stride ==
-          0) {
-        minted = obs::mint_trace(/*sampled=*/true);
-        shard.pending_trace = minted;
-        shard.pending_trace_claim = report.claim.value;
-        promoted = true;
-      }
-    }
-  }
-  if (promoted) {
-    record_ingest_span(minted, shard_index, report.claim.value);
-  }
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  ++metrics_.reports_ingested;
-}
-
-void SstdSystem::record_ingest_span(const obs::TraceContext& minted,
-                                    std::size_t shard_index,
-                                    std::uint64_t claim) {
-  obs::TraceSpan span;
-  span.phase = obs::SpanPhase::kIngest;
-  span.outcome = obs::SpanOutcome::kDone;
-  span.job = static_cast<std::uint32_t>(shard_index);
-  const double now_s = queue_.now();
-  span.begin_s = now_s;
-  span.end_s = now_s;
-  span.trace_hi = minted.trace_hi;
-  span.trace_lo = minted.trace_lo;
-  span.span_id = minted.span_id;
-  span.parent_span = 0;
-  span.attrs.reserve(2);
-  span.attrs.emplace_back("claim", std::to_string(claim));
-  span.attrs.emplace_back("shard", std::to_string(shard_index));
-  obs::TraceRecorder::global().record(std::move(span));
-}
-
 void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
   if (count == 0) return;
   // Cost attribution: the batch path is the soak/throughput front door;
@@ -141,6 +81,8 @@ void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
   static obs::CostCenter* const cost_wal_append =
       obs::CostRegistry::global().center("wal/append");
   const obs::CostScope ingest_scope(cost_ingest);
+  // Write-ahead: the reports reach the log before any in-memory state, so
+  // an acknowledged report survives a crash.
   if (wal_.is_open()) {
     const obs::CostScope wal_scope(cost_wal_append, obs::CostScope::kWallOnly);
     std::lock_guard<std::mutex> wal_lock(wal_mutex_);
@@ -150,8 +92,16 @@ void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
     }
   }
 
-  // A minted trace root per shard batch at most, as in ingest(); spans are
-  // recorded after the shard mutexes drop.
+  // Trace sampling (ISSUE 8): every ⌈1/rate⌉-th report is a trace
+  // candidate; a candidate whose shard has no pending trace mints one
+  // and becomes the next shard task's trace parent, so the task's
+  // attempt spans (retries included) and the refit/decision spans below
+  // them all share one trace id. Minting is gated on the promotion —
+  // one ingest span per shard-interval, not per report — which keeps
+  // full-rate tracing out of the ingest hot path (bench_trace measures
+  // the difference) and keeps the span ring from thrashing on roots no
+  // chain would ever hang off. Root spans are recorded after the shard
+  // mutexes drop.
   struct Promotion {
     obs::TraceContext ctx;
     std::size_t shard;
@@ -175,9 +125,9 @@ void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       for (const Report& report : bucket) {
         shard.buffer.push_back(report);
-        // Same deterministic stride sampling as the single-report path:
-        // the counter only advances while the shard's batch is
-        // unrepresented.
+        // The stride counter only advances while the shard's batch is
+        // unrepresented, so a represented batch adds zero tracing work per
+        // report — not even the atomic.
         if (config_.trace_sample_rate > 0.0 && !shard.pending_trace.valid()) {
           const auto stride = static_cast<std::uint64_t>(
               std::max(1.0, std::ceil(1.0 / config_.trace_sample_rate)));
@@ -197,7 +147,13 @@ void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
   }
 
   for (const Promotion& promotion : promotions) {
-    record_ingest_span(promotion.ctx, promotion.shard, promotion.claim);
+    const double now_s = queue_.now();
+    obs::record_causal_span(promotion.ctx, obs::SpanEdge::kRoot,
+                            obs::SpanPhase::kIngest,
+                            static_cast<std::uint32_t>(promotion.shard),
+                            now_s, now_s,
+                            {{"claim", std::to_string(promotion.claim)},
+                             {"shard", std::to_string(promotion.shard)}});
   }
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   metrics_.reports_ingested += count;
@@ -226,12 +182,7 @@ void SstdSystem::run_shard_interval(std::size_t shard_index,
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.needs_recovery) recover_shard_locked(shard, shard_index);
   try {
-    std::sort(shard.buffer.begin(), shard.buffer.end(), report_time_less);
-    for (const Report& report : shard.buffer) {
-      shard.engine->offer(report);
-    }
-    shard.buffer.clear();
-    shard.engine->end_interval(k);
+    close_shard_interval(*shard.engine, shard.buffer, k);
   } catch (const dist::ProcessKilled&) {
     // Killed mid-refit: the in-memory engine is in an undefined
     // half-trained state. Mark for rebuild and let the master's
@@ -248,58 +199,29 @@ void SstdSystem::recover_shard_locked(Shard& shard,
   const double recovery_begin_s = queue_.now();
   auto engine = std::make_unique<SstdStreaming>(config_.sstd, interval_ms_);
 
-  std::uint64_t after_lsn = 0;
   if (config_.durability.enabled()) {
-    // Newest valid snapshot, this shard's blob only.
-    durable::SnapshotMeta meta;
-    std::vector<std::string> blobs;
-    for (const auto& path :
-         durable::snapshot_files(config_.durability.dir)) {
-      if (durable::read_snapshot_file(path, &meta, &blobs)) break;
-      blobs.clear();
-    }
-    if (blobs.size() == shards_.size() &&
-        engine->load_state(blobs[shard_index])) {
-      after_lsn = meta.lsn;
-    }
-
-    // Replay the WAL suffix, filtered to this shard's claims, reproducing
-    // the original buffer → sort → offer → end_interval cadence so the
-    // rebuilt engine's state is byte-identical. Reports logged after the
-    // last interval-end belong to the in-flight interval and are left in
-    // the shard buffer for the retry attempt to process.
+    // Node restart's replay, narrowed to this shard by its callbacks: only
+    // this shard's snapshot blob loads, only its claims are buffered, and
+    // its intervals close through the live step, so the rebuilt engine's
+    // state is byte-identical. Reports logged after the last interval-end
+    // belong to the in-flight interval and are left in the shard buffer
+    // for the retry attempt to process.
     shard.buffer.clear();
-    durable::wal_scan(
-        config_.durability.dir, after_lsn,
-        [&](const durable::WalRecord& record) {
-          switch (static_cast<durable::WalRecordType>(record.type)) {
-            case durable::WalRecordType::kReport: {
-              Report report;
-              if (durable::decode_report_payload(record.payload, &report) &&
-                  report.claim.value % shards_.size() == shard_index) {
-                shard.buffer.push_back(report);
-              }
-              break;
-            }
-            case durable::WalRecordType::kIntervalEnd: {
-              IntervalIndex interval = 0;
-              if (!durable::decode_interval_end_payload(record.payload,
-                                                        &interval)) {
-                break;
-              }
-              std::sort(shard.buffer.begin(), shard.buffer.end(),
-                        report_time_less);
-              for (const Report& report : shard.buffer) {
-                engine->offer(report);
-              }
-              shard.buffer.clear();
-              engine->end_interval(interval);
-              break;
-            }
-            default:
-              break;
-          }
-        });
+    durable::RecoveryManager::Callbacks callbacks;
+    callbacks.load_snapshot = [&](IntervalIndex,
+                                  const std::vector<std::string>& blobs) {
+      return blobs.size() == shards_.size() &&
+             engine->load_state(blobs[shard_index]);
+    };
+    callbacks.on_report = [&](const Report& report) {
+      if (report.claim.value % shards_.size() == shard_index) {
+        shard.buffer.push_back(report);
+      }
+    };
+    callbacks.on_interval_end = [&](IntervalIndex interval) {
+      close_shard_interval(*engine, shard.buffer, interval);
+    };
+    durable::RecoveryManager::recover(config_.durability.dir, callbacks);
   }
 
   shard.engine = std::move(engine);
@@ -316,21 +238,11 @@ void SstdSystem::recover_shard_locked(Shard& shard,
   // queue installed thread-locally — so a traced crash-kill drill shows
   // ingest → evicted/retried attempts → recovery → refit → decision as
   // one chain.
-  if (const obs::TraceContext& ctx = obs::current_trace_context();
-      ctx.sampled && ctx.valid()) {
-    obs::TraceSpan span;
-    span.phase = obs::SpanPhase::kRecovery;
-    span.outcome = obs::SpanOutcome::kDone;
-    span.job = static_cast<std::uint32_t>(shard_index);
-    span.begin_s = recovery_begin_s;
-    span.end_s = queue_.now();
-    span.trace_hi = ctx.trace_hi;
-    span.trace_lo = ctx.trace_lo;
-    span.span_id = obs::mint_span_id();
-    span.parent_span = ctx.span_id;
-    span.attrs.emplace_back("shard", std::to_string(shard_index));
-    obs::TraceRecorder::global().record(std::move(span));
-  }
+  obs::record_causal_span(obs::current_trace_context(), obs::SpanEdge::kChild,
+                          obs::SpanPhase::kRecovery,
+                          static_cast<std::uint32_t>(shard_index),
+                          recovery_begin_s, queue_.now(),
+                          {{"shard", std::to_string(shard_index)}});
 
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("durable.shard_recoveries")->inc();
@@ -380,36 +292,22 @@ durable::RecoveryManager::Result SstdSystem::recover() {
     shards_[report.claim.value % shards_.size()]->buffer.push_back(report);
   };
   callbacks.on_interval_end = [this](IntervalIndex interval) {
-    for (auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      std::sort(shard.buffer.begin(), shard.buffer.end(), report_time_less);
-      for (const Report& report : shard.buffer) {
-        shard.engine->offer(report);
-      }
-      shard.buffer.clear();
-      shard.engine->end_interval(interval);
+    for (auto& shard : shards_) {
+      close_shard_interval(*shard->engine, shard->buffer, interval);
     }
   };
 
   result = durable::RecoveryManager::recover(config_.durability.dir,
                                              callbacks);
   for (std::size_t i = 0; i < shards_.size(); ++i) install_crash_hook(i);
+  publish_active_claims();
 
-  if (replay_ctx.valid()) {
-    obs::TraceSpan span;
-    span.phase = obs::SpanPhase::kRecovery;
-    span.outcome = obs::SpanOutcome::kDone;
-    span.begin_s = replay_begin_s;
-    span.end_s = queue_.now();
-    span.trace_hi = replay_ctx.trace_hi;
-    span.trace_lo = replay_ctx.trace_lo;
-    span.span_id = replay_ctx.span_id;
-    span.parent_span = 0;
-    span.attrs.emplace_back("scope", "node-restart");
-    span.attrs.emplace_back(
-        "next_interval", std::to_string(result.next_interval));
-    obs::TraceRecorder::global().record(std::move(span));
-  }
+  obs::record_causal_span(replay_ctx, obs::SpanEdge::kRoot,
+                          obs::SpanPhase::kRecovery, 0, replay_begin_s,
+                          queue_.now(),
+                          {{"scope", "node-restart"},
+                           {"next_interval",
+                            std::to_string(result.next_interval)}});
   return result;
 }
 
@@ -460,6 +358,7 @@ void SstdSystem::end_interval(IntervalIndex k) {
 
   queue_.wait_all();
   const double interval_seconds = interval_watch.elapsed_seconds();
+  publish_active_claims();
 
   // Backpressure accounting (ISSUE 9): what this interval dispatched and
   // how fast it drained, for the soak monitor and /timeseries.csv.
@@ -561,6 +460,17 @@ void SstdSystem::end_interval(IntervalIndex k) {
         static_cast<double>(metrics_.tasks_completed);
   }
   metrics_.current_workers = queue_.target_workers();
+}
+
+void SstdSystem::publish_active_claims() {
+  std::size_t claims = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    claims += shard->engine->active_claims();
+  }
+  obs::MetricsRegistry::global()
+      .gauge("stream.active_claims")
+      ->set(static_cast<double>(claims));
 }
 
 std::int8_t SstdSystem::estimate(ClaimId claim) const {

@@ -97,14 +97,13 @@ class SstdSystem {
 
   // Crawler push: buffers the report for its claim's shard. Reports must
   // arrive in non-decreasing time order (per the streaming contract).
-  void ingest(const Report& report);
+  void ingest(const Report& report) { ingest_batch(&report, 1); }
 
-  // Bulk crawler push (ISSUE 9): same semantics as calling ingest() once
-  // per report, but the WAL appends happen under one lock, each shard's
-  // buffer is extended under a single mutex acquisition, and the ingest
-  // counter is bumped once — the soak driver's hot path at millions of
-  // reports. Thread-safe; concurrent batches serialize on an internal
-  // scratch mutex.
+  // Bulk crawler push (ISSUE 9), the one ingest path: the WAL appends
+  // happen under one lock, each shard's buffer is extended under a single
+  // mutex acquisition, and the ingest counter is bumped once — the soak
+  // driver's hot path at millions of reports. Thread-safe; concurrent
+  // batches serialize on an internal scratch mutex.
   void ingest_batch(const Report* reports, std::size_t count);
   void ingest_batch(const std::vector<Report>& reports) {
     ingest_batch(reports.data(), reports.size());
@@ -182,18 +181,18 @@ class SstdSystem {
   // master's RetryPolicy re-runs the interval.
   void run_shard_interval(std::size_t shard_index, IntervalIndex k);
 
-  // Rebuilds one shard's engine from the newest snapshot + the WAL suffix
-  // filtered to this shard's claims. Caller holds the shard mutex.
+  // Rebuilds one shard's engine through RecoveryManager: the newest
+  // snapshot's blob for this shard + the WAL suffix filtered to this
+  // shard's claims. Caller holds the shard mutex.
   void recover_shard_locked(Shard& shard, std::size_t shard_index);
 
   // Installs the crash-kill chaos hook on a shard's (possibly rebuilt)
   // engine; no-op when the fault plan is empty.
   void install_crash_hook(std::size_t shard_index);
 
-  // Records the kIngest root span of a freshly minted shard trace (shared
-  // by the single and batched ingest paths).
-  void record_ingest_span(const obs::TraceContext& minted,
-                          std::size_t shard_index, std::uint64_t claim);
+  // Sets the stream.active_claims gauge to the node total: the sum of
+  // every shard engine's claims.
+  void publish_active_claims();
 
   Config config_;
   TimestampMs interval_ms_;

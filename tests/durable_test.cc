@@ -262,18 +262,61 @@ TEST(WalWriter, CorruptRecordStopsScanAfterValidPrefix) {
   EXPECT_EQ(stats.records, 2u);  // prefix before the damage still delivered
 }
 
-TEST(WalWriter, PurgeRemovesAllSegments) {
-  TempDir dir("purge");
+TEST(WalWriter, ReopenAfterMidLogDamageNeverReusesAnLsn) {
+  TempDir dir("middamage");
+  WalOptions options;
+  options.segment_bytes = 128;  // 3 records per segment
   {
     WalWriter writer;
-    writer.open(dir.path);
-    writer.append(WalRecordType::kReport,
-                  encode_report_payload(make_report(1, 1, 1, 1)));
+    writer.open(dir.path, options);
+    for (int i = 0; i < 20; ++i) {
+      writer.append(WalRecordType::kReport,
+                    encode_report_payload(make_report(1, 1, i, 1)));
+    }
   }
-  EXPECT_EQ(wal_segments(dir.path).size(), 1u);
-  wal_purge(dir.path);
-  EXPECT_TRUE(wal_segments(dir.path).empty());
-  EXPECT_EQ(wal_scan(dir.path, 0, [](const WalRecord&) {}).records, 0u);
+  const auto segments = wal_segments(dir.path);
+  ASSERT_EQ(segments.size(), 7u);
+  std::string data = read_file(segments[0]);
+  data.back() ^= 0x01;  // damage the last record of segment 1
+  write_file(segments[0], data);
+  // Replay stops at the damage ...
+  EXPECT_EQ(wal_scan(dir.path, 0, [](const WalRecord&) {}).max_lsn, 2u);
+
+  // ... but LSNs up to 20 are on disk, so the writer resumes past them.
+  WalWriter writer;
+  writer.open(dir.path, options);
+  EXPECT_EQ(writer.next_lsn(), 21u);
+  EXPECT_EQ(writer.segment_index(), 7u);
+}
+
+TEST(WalWriter, ReopenAfterRotationCrashResumesPastPreviousSegment) {
+  TempDir dir("rotcrash");
+  WalOptions options;
+  options.segment_bytes = 128;  // 3 records per segment
+  {
+    WalWriter writer;
+    writer.open(dir.path, options);
+    for (int i = 0; i < 5; ++i) {
+      writer.append(WalRecordType::kReport,
+                    encode_report_payload(make_report(1, 1, i, 1)));
+    }
+  }
+  ASSERT_EQ(wal_segments(dir.path).size(), 2u);
+  // A crash right after rotation: the newest segment holds only its magic.
+  write_file(dir.path + "/wal-000003.seg", std::string(kWalSegmentMagic));
+
+  WalWriter writer;
+  writer.open(dir.path, options);
+  EXPECT_EQ(writer.next_lsn(), 6u);
+  EXPECT_EQ(writer.segment_index(), 3u);
+  EXPECT_EQ(writer.append(WalRecordType::kReport,
+                          encode_report_payload(make_report(1, 1, 5, 1))),
+            6u);
+  writer.close();
+
+  std::vector<std::uint64_t> lsns;
+  wal_scan(dir.path, 0, [&lsns](const WalRecord& r) { lsns.push_back(r.lsn); });
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(WalScan, MissingDirectoryScansEmpty) {
@@ -297,7 +340,7 @@ TEST(Snapshot, WriteThenLoadLatestRoundTrips) {
 
   SnapshotMeta meta;
   std::vector<std::string> loaded;
-  ASSERT_TRUE(manager.load_latest(&meta, &loaded));
+  ASSERT_TRUE(load_newest_snapshot(dir.path, &meta, &loaded));
   EXPECT_EQ(meta.interval, 12);
   EXPECT_EQ(meta.lsn, 345u);
   EXPECT_EQ(loaded, blobs);
@@ -314,7 +357,7 @@ TEST(Snapshot, LoadLatestPrefersNewestAndPrunes) {
   EXPECT_EQ(snapshot_files(dir.path).size(), 2u);  // oldest pruned
   SnapshotMeta meta;
   std::vector<std::string> blobs;
-  ASSERT_TRUE(manager.load_latest(&meta, &blobs));
+  ASSERT_TRUE(load_newest_snapshot(dir.path, &meta, &blobs));
   EXPECT_EQ(meta.interval, 15);
   ASSERT_EQ(blobs.size(), 1u);
   EXPECT_EQ(blobs[0], "fifteen");
@@ -335,7 +378,7 @@ TEST(Snapshot, CorruptNewestFallsBackToOlder) {
 
   SnapshotMeta meta;
   std::vector<std::string> blobs;
-  ASSERT_TRUE(manager.load_latest(&meta, &blobs));
+  ASSERT_TRUE(load_newest_snapshot(dir.path, &meta, &blobs));
   EXPECT_EQ(meta.interval, 1);
   ASSERT_EQ(blobs.size(), 1u);
   EXPECT_EQ(blobs[0], "good");
@@ -354,11 +397,13 @@ TEST(Snapshot, ReadRejectsBadMagicAndShortFiles) {
 
 TEST(Snapshot, LoadLatestOnEmptyDirectoryFails) {
   TempDir dir("emptysnap");
-  SnapshotManager manager;
-  manager.open(dir.path);
   SnapshotMeta meta;
   std::vector<std::string> blobs;
-  EXPECT_FALSE(manager.load_latest(&meta, &blobs));
+  EXPECT_FALSE(load_newest_snapshot(dir.path, &meta, &blobs));
+  // Read-only: a missing directory has no snapshot and is not created.
+  const std::string missing = dir.path + "/missing";
+  EXPECT_FALSE(load_newest_snapshot(missing, &meta, &blobs));
+  EXPECT_FALSE(fs::exists(missing));
 }
 
 // --- engine state round trip -------------------------------------------

@@ -131,7 +131,7 @@ TEST(RtoPolicy, MatchesOrBeatsPidOnTightDeadlines) {
   const auto pid = run_deadline_experiment(per_job, config);
   config.policy = ControlPolicy::kRto;
   const auto rto = run_deadline_experiment(per_job, config);
-  config.use_pid_control = false;  // static
+  config.policy = ControlPolicy::kStatic;
   const auto fixed = run_deadline_experiment(per_job, config);
 
   // RTO plans with the exact model instead of feeding back on error, so it

@@ -353,7 +353,7 @@ DeadlineExperimentConfig deadline_config(bool pid) {
   config.deadline_s = 1.0;
   config.interval_arrival_s = 2.0;
   config.initial_workers = 4;
-  config.use_pid_control = pid;
+  config.policy = pid ? ControlPolicy::kPid : ControlPolicy::kStatic;
   config.sim.theta1 = 2e-3;
   config.sim.comm_per_unit_s = 2e-4;
   return config;

@@ -3,7 +3,13 @@
 // feedback, live estimates.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include "core/metrics.h"
+#include "obs/metrics.h"
 #include "sstd/system.h"
 #include "trace/generator.h"
 
@@ -125,6 +131,40 @@ TEST(SstdSystem, TightDeadlinesTriggerScaleUp) {
     system.end_interval(k);
   }
   EXPECT_GT(system.metrics().current_workers, 2u);
+}
+
+TEST(SstdSystem, ActiveClaimsGaugeCountsEveryShard) {
+  // 10 claims over 4 shards: each shard engine holds only its own 2 or 3
+  // claims, but the gauge reports the node — after an interval closes and
+  // after a restart's replay.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("sstd_system_gauge_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  SstdSystem::Config config = small_system();
+  config.durability.dir = dir;
+  obs::Gauge* gauge =
+      obs::MetricsRegistry::global().gauge("stream.active_claims");
+  {
+    SstdSystem system(config, 1000);
+    for (std::uint32_t claim = 0; claim < 10; ++claim) {
+      Report report;
+      report.source = SourceId{1};
+      report.claim = ClaimId{claim};
+      report.time_ms = 100 + claim;
+      report.attitude = 1;
+      report.independence = 1.0;
+      system.ingest(report);
+    }
+    system.end_interval(0);
+    EXPECT_EQ(gauge->value(), 10.0);
+  }
+  gauge->set(0.0);
+  SstdSystem restarted(config, 1000);
+  restarted.recover();
+  EXPECT_EQ(gauge->value(), 10.0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
